@@ -34,10 +34,10 @@ pub fn totals(network: &Network) -> Vec<(MappingAlgorithm, u64)> {
     totals_with(&ablation_engine(), network)
 }
 
-/// [`totals`] through an existing engine (sharing its plan cache).
+/// [`totals`] through an existing engine (sharing its search memo).
 pub fn totals_with(engine: &PlanningEngine, network: &Network) -> Vec<(MappingAlgorithm, u64)> {
     let report = engine
-        .plan_network(network, array512())
+        .plan_network_with(network, array512(), engine.algorithms())
         .expect("planning is total");
     ablation_algorithms()
         .into_iter()

@@ -108,8 +108,9 @@ impl LayerCandidates {
 /// the bottleneck-optimal mixed deployment (see the [module docs](self)).
 ///
 /// This is the sequential reference path; the planning engine's
-/// `deploy_network` reaches the same [`optimize_allocation`] through its
-/// shape-keyed plan cache and produces a byte-identical deployment.
+/// `deploy_network_with` reaches the same [`optimize_allocation`]
+/// through its shape-keyed search memo and produces a byte-identical
+/// deployment.
 /// Either way, each VW-SDK candidate plan routes through the
 /// bound-pruned Algorithm 1 scan, and on the engine path repeated
 /// shapes share one candidate table across the optimizer's nested

@@ -6,11 +6,14 @@
 //! sweeps, array design-space exploration, adaptive-window studies à la
 //! TetrisG-SDK — where the same layer shapes are planned over and over:
 //!
-//! * **Memoization** — plans are cached by the canonical
-//!   `(shape, array, algorithm)` key ([`pim_nets::LayerShape`] carries no
-//!   layer name), and Algorithm 1 searches by `(shape, array, options)`
-//!   in a [`SearchCache`]. VGG-13 and ResNet-18 repeat shapes heavily, so
-//!   a network plan touches far fewer distinct keys than layers.
+//! * **Memoization** — the one expensive step of a plan, the Algorithm 1
+//!   window search, is memoized by `(shape, array, options)` in a
+//!   [`SearchCache`] ([`pim_nets::LayerShape`] carries no layer name).
+//!   Everything else in a [`MappingPlan`] is a closed form of the search
+//!   result (or of the fixed window, for im2col/SDK-style algorithms),
+//!   so it is recomputed per call rather than cached a second time.
+//!   VGG-13 and ResNet-18 repeat shapes heavily, so a network plan runs
+//!   far fewer searches than it has layers.
 //! * **Parallelism** — layer planning fans out across
 //!   `std::thread::scope` workers (`jobs` of them; the dependency policy
 //!   stays std-only). Work is claimed from an atomic counter and results
@@ -19,7 +22,7 @@
 //!   interleaving.
 //! * **Batching** — [`plan_networks`](PlanningEngine::plan_networks) and
 //!   [`sweep_arrays`](PlanningEngine::sweep_arrays) plan whole workloads
-//!   through one shared cache, which is what the `vw-sdk-bench` sweep,
+//!   through one shared memo, which is what the `vw-sdk-bench` sweep,
 //!   the ablation driver and the `vwsdk sweep` CLI subcommand consume.
 //!
 //! # Example
@@ -35,8 +38,8 @@
 //! // Table I totals on the 512x512 array, straight from the batch API.
 //! assert_eq!(reports[0].total_cycles(MappingAlgorithm::VwSdk), Some(77_102));
 //! assert_eq!(reports[2].total_cycles(MappingAlgorithm::VwSdk), Some(4_294));
-//! // VGG-13 repeats layer shapes, so the plan cache answered some layers.
-//! assert!(engine.stats().plan_hits > 0);
+//! // VGG-13 repeats layer shapes, so the search memo answered some layers.
+//! assert!(engine.stats().search_hits > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -46,29 +49,23 @@ use pim_arch::PimArray;
 use pim_cost::memo::SearchCache;
 use pim_cost::search::{SearchOptions, SearchResult};
 use pim_mapping::{MappingAlgorithm, MappingPlan};
-use pim_nets::{ConvLayer, LayerShape, Network};
-use std::collections::HashMap;
+use pim_nets::{ConvLayer, Network};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
-
-/// Memo key of one plan: everything [`MappingAlgorithm::plan`] depends
-/// on except the layer's name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanKey {
-    shape: LayerShape,
-    array: PimArray,
-    algorithm: MappingAlgorithm,
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Cache counters of a [`PlanningEngine`] at one point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Plans answered from the cache.
+    /// Always 0. The engine keeps no plan cache: a plan is a closed
+    /// form of the memoized search, cheaper to recompute than to look
+    /// up. The field stays so existing readers keep compiling.
     pub plan_hits: u64,
-    /// Plans computed (and then cached).
+    /// Always 0, for the same reason as
+    /// [`plan_hits`](Self::plan_hits).
     pub plan_misses: u64,
-    /// Distinct `(shape, array, algorithm)` plans stored.
+    /// Always 0, for the same reason as
+    /// [`plan_hits`](Self::plan_hits).
     pub plan_entries: usize,
     /// Algorithm 1 searches answered from the cache.
     pub search_hits: u64,
@@ -82,36 +79,24 @@ impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "plans: {} hits / {} misses ({} cached); searches: {} hits / {} misses ({} cached)",
-            self.plan_hits,
-            self.plan_misses,
-            self.plan_entries,
-            self.search_hits,
-            self.search_misses,
-            self.search_entries
+            "searches: {} hits / {} misses ({} cached)",
+            self.search_hits, self.search_misses, self.search_entries
         )
     }
 }
 
-/// Parallel, memoizing planner for batch workloads: plans are cached
-/// by `(shape, array, algorithm)`, layer planning fans out across
-/// scoped worker threads, and batch/deployment APIs share one cache.
+/// Parallel, memoizing planner for batch workloads: Algorithm 1
+/// searches are cached by `(shape, array, options)`, layer planning
+/// fans out across scoped worker threads, and batch/deployment APIs
+/// share one memo.
 #[derive(Debug)]
 pub struct PlanningEngine {
     algorithms: Vec<MappingAlgorithm>,
     /// Worker threads for fan-out; 0 requests one per available core.
     jobs: usize,
-    plans: RwLock<HashMap<PlanKey, MappingPlan>>,
-    /// The Algorithm 1 memo, behind an `Arc` so several engines — the
-    /// serving tier's per-shard instances — can share one table (and
-    /// therefore one single-flight coalescing domain).
-    searches: std::sync::Arc<SearchCache>,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    /// Watermarks of `plan_hits` / `plan_misses` already published to
-    /// the process-wide telemetry counters; see `mirror_plan_cache`.
-    mirrored_hits: AtomicU64,
-    mirrored_misses: AtomicU64,
+    /// The Algorithm 1 memo, and therefore the single-flight coalescing
+    /// domain for every thread planning through this engine.
+    searches: SearchCache,
 }
 
 impl Default for PlanningEngine {
@@ -132,24 +117,8 @@ impl PlanningEngine {
         Self {
             algorithms: algorithms.to_vec(),
             jobs: 1,
-            plans: RwLock::new(HashMap::new()),
-            searches: std::sync::Arc::new(SearchCache::new()),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            mirrored_hits: AtomicU64::new(0),
-            mirrored_misses: AtomicU64::new(0),
+            searches: SearchCache::new(),
         }
-    }
-
-    /// Replaces this engine's Algorithm 1 memo with a shared one.
-    ///
-    /// The serving tier builds one `Arc<SearchCache>` and hands it to
-    /// every shard's engine: plan caches stay shard-local (lock traffic
-    /// scales out), while the expensive window searches land in — and
-    /// coalesce through — a single process-wide table.
-    pub fn with_search_cache(mut self, searches: std::sync::Arc<SearchCache>) -> Self {
-        self.searches = searches;
-        self
     }
 
     /// Sets the worker-thread count for batch planning. `0` means "one
@@ -180,8 +149,9 @@ impl PlanningEngine {
         requested.min(task_count).max(1)
     }
 
-    /// Plans one layer under one algorithm, answering from the plan
-    /// cache when the layer's shape has been planned before.
+    /// Plans one layer under one algorithm. Search-based algorithms
+    /// take their window from the search memo, so a shape searched
+    /// before costs a lookup plus the closed form.
     ///
     /// # Errors
     ///
@@ -193,44 +163,9 @@ impl PlanningEngine {
         array: PimArray,
         algorithm: MappingAlgorithm,
     ) -> Result<MappingPlan> {
-        let plan = self.plan_uncounted(layer, array, algorithm);
-        self.mirror_plan_cache();
-        plan
-    }
-
-    /// The planning workhorse behind every batch API: identical to
-    /// [`PlanningEngine::plan`] except that it only touches the
-    /// engine's own relaxed counters. Batch entry points call this in
-    /// their hot loops and publish the accumulated cache activity to
-    /// the process-wide telemetry counters once, at the batch boundary
-    /// (`mirror_plan_cache`) — a cached sweep iteration costs two
-    /// atomic adds total, not two per planned layer-algorithm pair.
-    fn plan_uncounted(
-        &self,
-        layer: &ConvLayer,
-        array: PimArray,
-        algorithm: MappingAlgorithm,
-    ) -> Result<MappingPlan> {
-        let key = PlanKey {
-            shape: layer.shape(),
-            array,
-            algorithm,
-        };
-        let cached = self
-            .plans
-            .read()
-            .expect("plan cache lock poisoned")
-            .get(&key)
-            .cloned();
-        if let Some(plan) = cached {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
-            // Same shape by key construction, so rebinding cannot fail.
-            return Ok(plan.rebound(layer)?);
-        }
-        // Search-based algorithms route through the shared search memo:
-        // the search dominates planning cost, so a cold plan herd across
-        // threads (or serving shards) coalesces onto one computation.
-        // The engine's worker budget doubles as the intra-search strip
+        // The search dominates planning cost, so a cold plan herd across
+        // threads coalesces onto one computation in the memo. The
+        // engine's worker budget doubles as the intra-search strip
         // budget — a single huge cold layer can use the idle cores.
         let plan = match algorithm.search_options() {
             Some(options) => {
@@ -241,56 +176,13 @@ impl PlanningEngine {
             }
             None => algorithm.plan(layer, array)?,
         };
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        self.plans
-            .write()
-            .expect("plan cache lock poisoned")
-            .insert(key, plan.clone());
         Ok(plan)
     }
 
-    /// Publishes plan-cache activity since the last flush to the
-    /// process-wide `pim_plan_cache_*_total` counters.
-    ///
-    /// A `fetch_max` watermark per family makes concurrent flushes
-    /// race-free: whichever call advances the watermark publishes
-    /// exactly the range it claimed, so events are counted once no
-    /// matter how many batch APIs finish simultaneously. Activity on an
-    /// error path is not lost, only deferred to the next flush.
-    fn mirror_plan_cache(&self) {
-        fn flush(source: &AtomicU64, watermark: &AtomicU64, counter: &pim_telemetry::Counter) {
-            let current = source.load(Ordering::Relaxed);
-            let last = watermark.fetch_max(current, Ordering::Relaxed);
-            if current > last {
-                counter.add(current - last);
-            }
-        }
-        flush(
-            &self.plan_hits,
-            &self.mirrored_hits,
-            plan_cache_counter("hits"),
-        );
-        flush(
-            &self.plan_misses,
-            &self.mirrored_misses,
-            plan_cache_counter("misses"),
-        );
-    }
-
-    /// Plans one layer under every configured algorithm.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first algorithm failure.
-    pub fn plan_layer(&self, layer: &ConvLayer, array: PimArray) -> Result<LayerComparison> {
-        self.plan_layer_with(layer, array, &self.algorithms)
-    }
-
     /// Plans one layer under an explicit algorithm set, sharing this
-    /// engine's caches. The request-serving tier uses this: one
-    /// process-wide engine answers queries for whatever algorithm subset
-    /// each request names, and every plan still lands in (or comes from)
-    /// the same shape-keyed cache.
+    /// engine's search memo. Pass [`algorithms`](Self::algorithms) for
+    /// the engine's own set; the request-serving tier passes whatever
+    /// subset each request names.
     ///
     /// # Errors
     ///
@@ -301,23 +193,9 @@ impl PlanningEngine {
         array: PimArray,
         algorithms: &[MappingAlgorithm],
     ) -> Result<LayerComparison> {
-        let comparison = self.compare_layer(layer, array, algorithms);
-        self.mirror_plan_cache();
-        comparison
-    }
-
-    /// [`PlanningEngine::plan_layer_with`] minus the telemetry flush —
-    /// the per-task body batch APIs fan out over (they flush once at
-    /// the batch boundary instead).
-    fn compare_layer(
-        &self,
-        layer: &ConvLayer,
-        array: PimArray,
-        algorithms: &[MappingAlgorithm],
-    ) -> Result<LayerComparison> {
         let mut plans = Vec::with_capacity(algorithms.len());
         for &algorithm in algorithms {
-            plans.push(self.plan_uncounted(layer, array, algorithm)?);
+            plans.push(self.plan(layer, array, algorithm)?);
         }
         Ok(LayerComparison::from_parts(layer.clone(), plans))
     }
@@ -343,9 +221,8 @@ impl PlanningEngine {
             layers = tasks.len()
         );
         let planned = self.parallel_map(&tasks, |&layer| {
-            self.compare_layer(layer, array, algorithms)
+            self.plan_layer_with(layer, array, algorithms)
         });
-        self.mirror_plan_cache();
         let mut layers = Vec::with_capacity(network.len());
         for comparison in planned {
             layers.push(comparison?);
@@ -358,18 +235,7 @@ impl PlanningEngine {
         ))
     }
 
-    /// Plans every layer of a network, fanning out across the engine's
-    /// workers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first planning failure.
-    pub fn plan_network(&self, network: &Network, array: PimArray) -> Result<NetworkReport> {
-        let mut reports = self.sweep_arrays(std::slice::from_ref(network), &[array])?;
-        Ok(reports.pop().expect("one network times one array"))
-    }
-
-    /// Plans several networks on one array through the shared cache.
+    /// Plans several networks on one array through the shared memo.
     ///
     /// Reports come back in `networks` order.
     ///
@@ -414,9 +280,8 @@ impl PlanningEngine {
             tasks = tasks.len()
         );
         let planned = self.parallel_map(&tasks, |&(layer, array)| {
-            self.compare_layer(layer, array, &self.algorithms)
+            self.plan_layer_with(layer, array, &self.algorithms)
         });
-        self.mirror_plan_cache();
 
         let mut results = planned.into_iter();
         let mut reports = Vec::with_capacity(networks.len() * arrays.len());
@@ -439,30 +304,15 @@ impl PlanningEngine {
 
     /// Deploys a network onto a many-array chip, letting the
     /// [`pim_chip::optimize`] search pick each layer's algorithm from
-    /// the paper trio (im2col / SDK / VW-SDK) and split the array
-    /// budget for the minimum pipeline bottleneck.
+    /// `algorithms` (the paper uses
+    /// [`MappingAlgorithm::paper_trio`]) and split the array budget for
+    /// the minimum pipeline bottleneck.
     ///
-    /// # Errors
-    ///
-    /// Returns [`VwSdkError`] if the chip has fewer arrays than the
-    /// network has layers, or planning fails.
-    pub fn deploy_network(
-        &self,
-        network: &Network,
-        chip: &pim_chip::ChipConfig,
-    ) -> Result<pim_chip::allocate::Deployment> {
-        self.deploy_network_with(network, chip, &MappingAlgorithm::paper_trio())
-    }
-
-    /// Deploys a network onto a chip with an explicit candidate
-    /// algorithm set (see [`PlanningEngine::deploy_network`]).
-    ///
-    /// Candidate plans come from the engine's shape-keyed cache —
-    /// repeated shapes and repeated deployments are planned once — and
-    /// fresh `(layer, algorithm)` plans fan out across the engine's
-    /// workers. The resulting deployment is byte-identical to the
-    /// sequential [`pim_chip::optimize::deploy_mixed`] path for the
-    /// same inputs.
+    /// Candidate plans go through the engine's search memo — repeated
+    /// shapes and repeated deployments search once — and fan out
+    /// across the engine's workers. The resulting deployment is
+    /// byte-identical to the sequential
+    /// [`pim_chip::optimize::deploy_mixed`] path for the same inputs.
     ///
     /// # Errors
     ///
@@ -488,9 +338,8 @@ impl PlanningEngine {
             algorithms = algorithms.len()
         );
         let planned = self.parallel_map(&tasks, |&(layer, algorithm)| {
-            self.plan_uncounted(layer, chip.array(), algorithm)
+            self.plan(layer, chip.array(), algorithm)
         });
-        self.mirror_plan_cache();
         let mut results = planned.into_iter();
         let mut candidates = Vec::with_capacity(network.len());
         for _ in 0..network.len() {
@@ -505,117 +354,27 @@ impl PlanningEngine {
     }
 
     /// Simulates a network end to end on the functional crossbar
-    /// simulator with the default configuration (VW-SDK plans for every
-    /// layer, quantized inter-stage mode), planning through the shared
-    /// cache; see [`PlanningEngine::simulate_network_with`].
+    /// simulator: every layer is planned with `algorithm` on `array`
+    /// through the engine's search memo, the deployment's crossbars are
+    /// programmed **once**, then `batch` deterministic seed-derived
+    /// input feature maps stream through the programmed pipeline with
+    /// up to `jobs` worker threads (`0` = all cores, clamped to the
+    /// batch). Every batch element is verified bit-exact against its
+    /// own `pim-tensor` reference forward pass, and the report
+    /// aggregates over the batch (programmings counted once; cycles,
+    /// MACs, ADC/DAC conversions and energy summed, each with its
+    /// per-stage prediction).
     ///
-    /// # Errors
-    ///
-    /// Returns [`VwSdkError`] if the network does not chain spatially
-    /// or a stage fails to simulate.
-    pub fn simulate_network(
-        &self,
-        network: &Network,
-        array: PimArray,
-        seed: u64,
-    ) -> Result<pim_sim::SimulationReport> {
-        self.simulate_network_with(
-            network,
-            array,
-            MappingAlgorithm::VwSdk,
-            seed,
-            pim_sim::ExecMode::Quantized,
-        )
-    }
-
-    /// Simulates a network end to end: every layer is planned with
-    /// `algorithm` on `array` *through the engine's shape-keyed cache*
-    /// (repeated shapes and repeated simulations plan once), the
-    /// resulting plans are executed stage by stage on the functional
-    /// simulator with deterministic seed-derived tensors, and the
-    /// output is verified bit-exact against the `pim-tensor` reference
-    /// forward pass — the report also carries per-stage executed vs.
-    /// predicted cycles, MACs, ADC/DAC conversions and energy.
-    ///
-    /// This is the correctness backstop under the planning products:
-    /// the `vwsdk simulate` subcommand and `POST /v1/simulate` both
-    /// answer with exactly this report.
+    /// A batch of 1 with `jobs` 1 is the single-input simulation. This
+    /// is the correctness backstop under the planning products: the
+    /// `vwsdk simulate` subcommand and `POST /v1/simulate` both answer
+    /// with exactly this report.
     ///
     /// # Errors
     ///
     /// Returns [`VwSdkError`] if the network is empty or does not chain
-    /// spatially ([`Network::check_chain`]), or a stage fails to
-    /// simulate.
-    pub fn simulate_network_with(
-        &self,
-        network: &Network,
-        array: PimArray,
-        algorithm: MappingAlgorithm,
-        seed: u64,
-        mode: pim_sim::ExecMode,
-    ) -> Result<pim_sim::SimulationReport> {
-        network.check_chain()?;
-        let tasks: Vec<&ConvLayer> = network.layers().iter().collect();
-        let _span = pim_telemetry::span!(
-            "engine.simulate_network",
-            jobs = self.effective_jobs(tasks.len()),
-            layers = tasks.len()
-        );
-        let planned = self.parallel_map(&tasks, |&layer| {
-            self.plan_uncounted(layer, array, algorithm)
-        });
-        self.mirror_plan_cache();
-        let mut plans = Vec::with_capacity(network.len());
-        for plan in planned {
-            plans.push(plan?);
-        }
-        pim_sim::simulate_network(network, &plans, seed, mode)
-            .map_err(|e| VwSdkError::new(e.to_string()))
-    }
-
-    /// Batched [`PlanningEngine::simulate_network`] with the default
-    /// configuration (VW-SDK plans, quantized mode); `jobs` follows the
-    /// engine's convention (`0` = all cores).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VwSdkError`] under the same conditions as
-    /// [`PlanningEngine::simulate_network_batch_with`].
-    pub fn simulate_network_batch(
-        &self,
-        network: &Network,
-        array: PimArray,
-        seed: u64,
-        batch: usize,
-        jobs: usize,
-    ) -> Result<pim_sim::SimulationReport> {
-        self.simulate_network_batch_with(
-            network,
-            array,
-            MappingAlgorithm::VwSdk,
-            seed,
-            pim_sim::ExecMode::Quantized,
-            batch,
-            jobs,
-        )
-    }
-
-    /// Batched [`PlanningEngine::simulate_network_with`]: plans every
-    /// layer through the shared cache, programs the deployment's
-    /// crossbars **once**, then streams `batch` deterministic input
-    /// feature maps through the programmed pipeline with up to `jobs`
-    /// worker threads (`0` = all cores, clamped to the batch). Every
-    /// batch element is verified bit-exact against its own reference
-    /// forward pass, and the report aggregates over the batch
-    /// (programmings counted once; cycles, MACs and energy summed).
-    ///
-    /// `vwsdk simulate --batch N` and `POST /v1/simulate` with a
-    /// `batch` field both answer with exactly this report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VwSdkError`] under the same conditions as
-    /// [`PlanningEngine::simulate_network_with`], or when `batch == 0`.
+    /// spatially ([`Network::check_chain`]), a stage fails to simulate,
+    /// or `batch == 0`.
     #[allow(clippy::too_many_arguments)]
     pub fn simulate_network_batch_with(
         &self,
@@ -635,10 +394,7 @@ impl PlanningEngine {
             layers = tasks.len(),
             batch = batch
         );
-        let planned = self.parallel_map(&tasks, |&layer| {
-            self.plan_uncounted(layer, array, algorithm)
-        });
-        self.mirror_plan_cache();
+        let planned = self.parallel_map(&tasks, |&layer| self.plan(layer, array, algorithm));
         let mut plans = Vec::with_capacity(network.len());
         for plan in planned {
             plans.push(plan?);
@@ -686,38 +442,18 @@ impl PlanningEngine {
         (evaluated, pruned)
     }
 
-    /// The engine's search cache, for sharing with other consumers.
-    pub fn search_cache(&self) -> &SearchCache {
-        &self.searches
-    }
-
-    /// A cloned handle to the search memo, for building further engines
-    /// over the same table (see
-    /// [`with_search_cache`](Self::with_search_cache)).
-    pub fn shared_search_cache(&self) -> std::sync::Arc<SearchCache> {
-        std::sync::Arc::clone(&self.searches)
-    }
-
-    /// Bounds cache memory: when either cache holds more than
-    /// `max_entries`, it is cleared wholesale (counters are kept).
-    /// Returns `true` if anything was dropped.
+    /// Bounds memory: when the search memo holds more than
+    /// `max_entries` results, it is cleared wholesale (counters are
+    /// kept). Returns `true` if anything was dropped.
     ///
-    /// Plans and searches are pure functions of their keys, so clearing
-    /// only costs recomputation — which is what lets a long-running
-    /// service plan arbitrary user-supplied shapes forever without
-    /// unbounded growth.
+    /// Searches are pure functions of their keys, so clearing only
+    /// costs recomputation — which is what lets a long-running service
+    /// plan arbitrary user-supplied shapes forever without unbounded
+    /// growth.
     pub fn shed_caches_over(&self, max_entries: usize) -> bool {
-        let mut shed = false;
-        {
-            let mut plans = self.plans.write().expect("plan cache lock poisoned");
-            if plans.len() > max_entries {
-                plans.clear();
-                shed = true;
-            }
-        }
-        if self.searches.len() > max_entries {
+        let shed = self.searches.len() > max_entries;
+        if shed {
             self.searches.clear();
-            shed = true;
         }
         shed
     }
@@ -725,12 +461,10 @@ impl PlanningEngine {
     /// Current cache counters.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            plan_entries: self.plans.read().expect("plan cache lock poisoned").len(),
             search_hits: self.searches.hits(),
             search_misses: self.searches.misses(),
             search_entries: self.searches.len(),
+            ..EngineStats::default()
         }
     }
 
@@ -776,30 +510,6 @@ impl PlanningEngine {
     }
 }
 
-/// Process-wide plan-cache counters: every engine reports into the
-/// same `pim_plan_cache_*_total` families, mirroring the per-engine
-/// [`EngineStats`] counters onto the metrics endpoint at batch
-/// boundaries (see `mirror_plan_cache`). Handles are registered once
-/// and kept in a static so a flush costs atomic ops, not a registry
-/// lookup.
-fn plan_cache_counter(event: &str) -> &'static pim_telemetry::Counter {
-    static HANDLES: std::sync::OnceLock<[pim_telemetry::Counter; 2]> = std::sync::OnceLock::new();
-    let [hits, misses] = HANDLES.get_or_init(|| {
-        ["pim_plan_cache_hits_total", "pim_plan_cache_misses_total"].map(|name| {
-            pim_telemetry::global().counter(
-                name,
-                "Shape-keyed plan cache events, aggregated over all engines in the process.",
-                &[],
-            )
-        })
-    });
-    if event == "hits" {
-        hits
-    } else {
-        misses
-    }
-}
-
 impl From<pim_nets::NetError> for VwSdkError {
     fn from(err: pim_nets::NetError) -> Self {
         Self::new(err.to_string())
@@ -821,7 +531,9 @@ mod tests {
         let engine = PlanningEngine::new().with_jobs(4);
         let planner = Planner::new(arr(512, 512));
         for network in [zoo::resnet18_table1(), zoo::vgg13()] {
-            let parallel = engine.plan_network(&network, arr(512, 512)).unwrap();
+            let parallel = engine
+                .plan_network_with(&network, arr(512, 512), engine.algorithms())
+                .unwrap();
             let sequential = planner.plan_network(&network).unwrap();
             assert_eq!(parallel, sequential);
             assert_eq!(format!("{parallel:?}"), format!("{sequential:?}"));
@@ -829,35 +541,42 @@ mod tests {
     }
 
     #[test]
-    fn repeated_shapes_hit_the_plan_cache() {
+    fn repeated_shapes_hit_the_search_memo() {
         let engine = PlanningEngine::new();
-        let report = engine.plan_network(&zoo::vgg13(), arr(512, 512)).unwrap();
+        let report = engine
+            .plan_network_with(&zoo::vgg13(), arr(512, 512), engine.algorithms())
+            .unwrap();
         assert_eq!(report.layers().len(), 10);
         let stats = engine.stats();
-        // VGG-13's 10 layers cover 9 distinct shapes (conv9 == conv10).
-        assert_eq!(stats.plan_misses, 9 * 3);
-        assert_eq!(stats.plan_hits, 3);
-        assert_eq!(stats.plan_entries, 27);
+        // VGG-13's 10 layers cover 9 distinct shapes (conv9 == conv10),
+        // and VW-SDK is the trio's one search-based algorithm.
+        assert_eq!(stats.search_misses, 9);
+        assert_eq!(stats.search_hits, 1);
+        assert_eq!(stats.search_entries, 9);
     }
 
     #[test]
     fn second_run_is_all_hits() {
         let engine = PlanningEngine::new();
-        let first = engine
-            .plan_network(&zoo::resnet18_table1(), arr(512, 512))
-            .unwrap();
-        let misses_after_first = engine.stats().plan_misses;
-        let second = engine
-            .plan_network(&zoo::resnet18_table1(), arr(512, 512))
-            .unwrap();
+        let plan = || {
+            engine
+                .plan_network_with(&zoo::resnet18_table1(), arr(512, 512), engine.algorithms())
+                .unwrap()
+        };
+        let first = plan();
+        let after_first = engine.stats();
+        let second = plan();
         assert_eq!(first, second);
-        assert_eq!(engine.stats().plan_misses, misses_after_first);
+        assert_eq!(engine.stats().search_misses, after_first.search_misses);
+        assert!(engine.stats().search_hits > after_first.search_hits);
     }
 
     #[test]
     fn cached_plans_carry_the_right_layer_names() {
         let engine = PlanningEngine::new();
-        let report = engine.plan_network(&zoo::vgg13(), arr(512, 512)).unwrap();
+        let report = engine
+            .plan_network_with(&zoo::vgg13(), arr(512, 512), engine.algorithms())
+            .unwrap();
         for (layer, comparison) in zoo::vgg13().layers().iter().zip(report.layers()) {
             assert_eq!(comparison.layer().name(), layer.name());
             for plan in comparison.plans() {
@@ -898,7 +617,9 @@ mod tests {
     fn custom_algorithm_set_flows_through() {
         let engine =
             PlanningEngine::with_algorithms(&[MappingAlgorithm::Smd, MappingAlgorithm::VwSdk]);
-        let report = engine.plan_network(&zoo::tiny(), arr(256, 256)).unwrap();
+        let report = engine
+            .plan_network_with(&zoo::tiny(), arr(256, 256), engine.algorithms())
+            .unwrap();
         assert!(report.total_cycles(MappingAlgorithm::Smd).is_some());
         assert!(report.total_cycles(MappingAlgorithm::Im2col).is_none());
     }
@@ -922,7 +643,9 @@ mod tests {
         let layer = ConvLayer::square("c", 56, 3, 128, 256).unwrap();
         // Nothing searched yet: the peek sees nothing and counts nothing.
         assert_eq!(engine.search_effort(&layer, arr(512, 512)), (0, 0));
-        engine.plan_layer(&layer, arr(512, 512)).unwrap();
+        engine
+            .plan_layer_with(&layer, arr(512, 512), engine.algorithms())
+            .unwrap();
         let (evaluated, pruned) = engine.search_effort(&layer, arr(512, 512));
         assert!(evaluated > 0 && pruned > 0, "{evaluated}/{pruned}");
         let direct = engine.search(&layer, arr(512, 512), SearchOptions::pruned());
@@ -943,10 +666,18 @@ mod tests {
     #[test]
     fn stats_render_readably() {
         let engine = PlanningEngine::new();
-        engine.plan_network(&zoo::tiny(), arr(64, 64)).unwrap();
-        let text = engine.stats().to_string();
-        assert!(text.contains("plans:"), "{text}");
+        engine
+            .plan_network_with(&zoo::tiny(), arr(64, 64), engine.algorithms())
+            .unwrap();
+        let stats = engine.stats();
+        let text = stats.to_string();
         assert!(text.contains("searches:"), "{text}");
+        // There is no plan cache to report on.
+        assert!(!text.contains("plans:"), "{text}");
+        assert_eq!(
+            (stats.plan_hits, stats.plan_misses, stats.plan_entries),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -964,8 +695,8 @@ mod tests {
         );
         assert_eq!(report.algorithms(), &trio);
         // A second call under the full algorithm set reuses every
-        // trio plan already cached.
-        let misses_before = engine.stats().plan_misses;
+        // VW-SDK search already memoized.
+        let before = engine.stats();
         let full = engine
             .plan_network_with(
                 &zoo::resnet18_table1(),
@@ -975,9 +706,10 @@ mod tests {
             .unwrap();
         assert_eq!(full.total_cycles(MappingAlgorithm::VwSdk), Some(4_294));
         let stats = engine.stats();
-        assert!(stats.plan_hits > 0);
-        // Only the non-trio algorithms can miss on the second pass.
-        assert!(stats.plan_misses - misses_before <= 4 * 5);
+        assert!(stats.search_hits > before.search_hits);
+        // Only the two non-trio search-based algorithms can miss on the
+        // second pass.
+        assert!(stats.search_misses - before.search_misses <= 2 * 5);
     }
 
     #[test]
@@ -997,12 +729,17 @@ mod tests {
     #[test]
     fn shedding_bounds_cache_size_without_changing_answers() {
         let engine = PlanningEngine::new();
-        let first = engine.plan_network(&zoo::vgg13(), arr(512, 512)).unwrap();
+        let plan = || {
+            engine
+                .plan_network_with(&zoo::vgg13(), arr(512, 512), engine.algorithms())
+                .unwrap()
+        };
+        let first = plan();
         assert!(!engine.shed_caches_over(1_000)); // under the cap: kept
-        assert!(engine.stats().plan_entries > 0);
+        assert!(engine.stats().search_entries > 0);
         assert!(engine.shed_caches_over(0)); // over the cap: cleared
-        assert_eq!(engine.stats().plan_entries, 0);
-        let second = engine.plan_network(&zoo::vgg13(), arr(512, 512)).unwrap();
+        assert_eq!(engine.stats().search_entries, 0);
+        let second = plan();
         assert_eq!(first, second);
     }
 
@@ -1011,7 +748,9 @@ mod tests {
         let chip = pim_chip::ChipConfig::new(32, arr(512, 512), 2_000).expect("valid chip config");
         let engine = PlanningEngine::new().with_jobs(4);
         for network in [zoo::resnet18_table1(), zoo::vgg13()] {
-            let parallel = engine.deploy_network(&network, &chip).unwrap();
+            let parallel = engine
+                .deploy_network_with(&network, &chip, &MappingAlgorithm::paper_trio())
+                .unwrap();
             let sequential =
                 pim_chip::optimize::deploy_mixed(&network, &MappingAlgorithm::paper_trio(), &chip)
                     .unwrap();
@@ -1021,15 +760,20 @@ mod tests {
     }
 
     #[test]
-    fn repeated_deployments_hit_the_plan_cache() {
+    fn repeated_deployments_hit_the_search_memo() {
         let chip = pim_chip::ChipConfig::new(64, arr(512, 512), 2_000).expect("valid chip config");
         let engine = PlanningEngine::new();
-        let first = engine.deploy_network(&zoo::vgg13(), &chip).unwrap();
-        let misses = engine.stats().plan_misses;
-        let second = engine.deploy_network(&zoo::vgg13(), &chip).unwrap();
+        let deploy = || {
+            engine
+                .deploy_network_with(&zoo::vgg13(), &chip, &MappingAlgorithm::paper_trio())
+                .unwrap()
+        };
+        let first = deploy();
+        let before = engine.stats();
+        let second = deploy();
         assert_eq!(first, second);
-        assert_eq!(engine.stats().plan_misses, misses);
-        assert!(engine.stats().plan_hits > 0);
+        assert_eq!(engine.stats().search_misses, before.search_misses);
+        assert!(engine.stats().search_hits > before.search_hits);
     }
 
     #[test]
@@ -1037,7 +781,11 @@ mod tests {
         let chip = pim_chip::ChipConfig::new(3, arr(512, 512), 2_000).expect("valid chip config");
         let engine = PlanningEngine::new();
         let err = engine
-            .deploy_network(&zoo::resnet18_table1(), &chip)
+            .deploy_network_with(
+                &zoo::resnet18_table1(),
+                &chip,
+                &MappingAlgorithm::paper_trio(),
+            )
             .unwrap_err();
         assert!(err.to_string().contains("3 arrays"), "{err}");
         let err = engine
@@ -1049,32 +797,43 @@ mod tests {
     #[test]
     fn simulate_network_is_bit_exact_and_feeds_the_cache() {
         let engine = PlanningEngine::new();
-        let report = engine
-            .simulate_network(&zoo::tiny(), arr(64, 64), 42)
-            .unwrap();
+        let simulate = || {
+            engine
+                .simulate_network_batch_with(
+                    &zoo::tiny(),
+                    arr(64, 64),
+                    MappingAlgorithm::VwSdk,
+                    42,
+                    pim_sim::ExecMode::Quantized,
+                    1,
+                    1,
+                )
+                .unwrap()
+        };
+        let report = simulate();
         assert!(report.is_fully_consistent(), "{report:?}");
         assert_eq!(report.stages.len(), 2);
-        // A second simulation re-plans nothing.
-        let misses = engine.stats().plan_misses;
-        let again = engine
-            .simulate_network(&zoo::tiny(), arr(64, 64), 42)
-            .unwrap();
+        // A second simulation re-searches nothing.
+        let before = engine.stats();
+        let again = simulate();
         assert_eq!(report, again);
-        assert_eq!(engine.stats().plan_misses, misses);
-        assert!(engine.stats().plan_hits > 0);
+        assert_eq!(engine.stats().search_misses, before.search_misses);
+        assert!(engine.stats().search_hits > before.search_hits);
     }
 
     #[test]
-    fn simulate_network_with_honours_algorithm_seed_and_mode() {
+    fn simulate_honours_algorithm_seed_and_mode() {
         use pim_sim::ExecMode;
         let engine = PlanningEngine::new();
         let exact = engine
-            .simulate_network_with(
+            .simulate_network_batch_with(
                 &zoo::tiny(),
                 arr(64, 64),
                 MappingAlgorithm::Im2col,
                 7,
                 ExecMode::Exact,
+                1,
+                1,
             )
             .unwrap();
         assert!(exact.is_fully_consistent(), "{exact:?}");
@@ -1086,12 +845,14 @@ mod tests {
             .all(|s| s.algorithm == MappingAlgorithm::Im2col));
         // Different seeds generate different tensors but stay exact.
         let other = engine
-            .simulate_network_with(
+            .simulate_network_batch_with(
                 &zoo::tiny(),
                 arr(64, 64),
                 MappingAlgorithm::Im2col,
                 8,
                 ExecMode::Exact,
+                1,
+                1,
             )
             .unwrap();
         assert!(other.is_fully_consistent());
@@ -1101,7 +862,15 @@ mod tests {
     fn simulate_rejects_unchained_networks() {
         let engine = PlanningEngine::new();
         let err = engine
-            .simulate_network(&zoo::vgg13(), arr(512, 512), 1)
+            .simulate_network_batch_with(
+                &zoo::vgg13(),
+                arr(512, 512),
+                MappingAlgorithm::VwSdk,
+                1,
+                pim_sim::ExecMode::Quantized,
+                1,
+                1,
+            )
             .unwrap_err();
         assert!(err.to_string().contains("conv1"), "{err}");
     }

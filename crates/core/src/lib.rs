@@ -15,7 +15,7 @@
 //! * [`pim_mapping`] — planners and cell-level layouts;
 //! * [`pim_chip`] — many-array chips: allocation, pipelining and the
 //!   mixed-algorithm deployment optimizer behind
-//!   [`PlanningEngine::deploy_network`];
+//!   [`PlanningEngine::deploy_network_with`];
 //! * [`pim_sim`] — a functional simulator proving the mappings correct;
 //! * [`pim_report`] — text tables and charts for the experiment binaries.
 //!

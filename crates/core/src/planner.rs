@@ -80,16 +80,16 @@ impl Planner {
     /// Plans every layer of a network.
     ///
     /// Runs through a fresh single-threaded [`PlanningEngine`], so
-    /// repeated layer shapes within the network are planned once and
-    /// answered from its cache thereafter. For batch workloads (many
-    /// networks, many arrays, `--jobs N` parallelism, a cache that
+    /// repeated layer shapes within the network are searched once and
+    /// answered from its search memo thereafter. For batch workloads
+    /// (many networks, many arrays, `--jobs N` parallelism, a memo that
     /// persists across calls) use a [`PlanningEngine`] directly.
     ///
     /// # Errors
     ///
     /// Propagates the first planning failure.
     pub fn plan_network(&self, network: &Network) -> Result<NetworkReport> {
-        PlanningEngine::with_algorithms(&self.algorithms).plan_network(network, self.array)
+        PlanningEngine::new().plan_network_with(network, self.array, &self.algorithms)
     }
 }
 

@@ -26,7 +26,7 @@
 //!
 //! [`SearchCache`] is thread-safe (`RwLock` + atomic counters) and is
 //! shared by reference across the planning engine's worker threads —
-//! and, behind an `Arc`, across the serving tier's shards.
+//! and, through the serving tier's one engine, across all its shards.
 //!
 //! # Example
 //!
@@ -207,12 +207,10 @@ impl SearchCache {
             array,
             options,
         };
-        let table = if options.pruned {
-            Some(self.table_for(layer))
-        } else {
-            None
-        };
+        // The table is only needed by a leader's cold search, so hits
+        // never touch the `tables` lock.
         self.get_or_compute(key, &|| {
+            let table = options.pruned.then(|| self.table_for(layer));
             search::optimal_window_with_table(layer, array, options, table.as_deref(), jobs)
         })
     }
@@ -627,6 +625,28 @@ mod tests {
         assert_eq!(fresh.table_shapes(), 0);
         // clear() drops the tables along with the results.
         cache.clear();
+        assert_eq!(cache.table_shapes(), 0);
+    }
+
+    #[test]
+    fn hits_never_build_a_candidate_table() {
+        let cache = SearchCache::new();
+        let layer = ConvLayer::square("c", 14, 3, 64, 64).unwrap();
+        let options = SearchOptions::pruned();
+        let key = SearchKey {
+            shape: layer.shape(),
+            array: arr(),
+            options,
+        };
+        let stored = Arc::new(search::optimal_window_with(&layer, arr(), options));
+        cache
+            .results
+            .write()
+            .unwrap()
+            .insert(key, Slot::Ready(Arc::clone(&stored)));
+        let hit = cache.optimal_window_with(&layer, arr(), options);
+        assert!(Arc::ptr_eq(&hit, &stored));
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
         assert_eq!(cache.table_shapes(), 0);
     }
 

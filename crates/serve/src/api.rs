@@ -291,12 +291,9 @@ pub fn simulation_json(report: &pim_sim::SimulationReport) -> JsonValue {
     ])
 }
 
-/// Cache counters as JSON (the service's cache-hit stats).
+/// The search memo's counters as JSON (the service's cache-hit stats).
 pub fn stats_json(stats: &EngineStats) -> JsonValue {
     JsonValue::object([
-        ("plan_hits", stats.plan_hits.into()),
-        ("plan_misses", stats.plan_misses.into()),
-        ("plan_entries", stats.plan_entries.into()),
         ("search_hits", stats.search_hits.into()),
         ("search_misses", stats.search_misses.into()),
         ("search_entries", stats.search_entries.into()),

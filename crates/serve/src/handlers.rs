@@ -7,7 +7,13 @@
 //! * `400` — the body is not JSON, or a field has the wrong type;
 //! * `422` — well-formed JSON naming something impossible (unknown
 //!   network or algorithm, a spec whose geometry cannot build);
-//! * `200` — a planned result, always including cache-hit statistics.
+//! * `200` — a planned result; plan and sweep answers include the
+//!   search memo's statistics.
+//!
+//! [`plan`], [`sweep`], [`deploy`] and [`simulate`] take the event-loop
+//! shard that received the request as their second argument. Every
+//! shard plans through the one engine, so the argument is unused; it is
+//! kept for signature compatibility with existing callers.
 
 use crate::api;
 use crate::state::ServerState;
@@ -230,14 +236,14 @@ fn network_field(body: &JsonValue) -> Result<Network, HandlerError> {
 
 /// `POST /v1/plan` — body: `{"network": NAME | "spec": {...},
 /// "array"?: "RxC" | {"rows","cols"}, "algorithms"?: [LABEL, ...]}`.
-pub fn plan(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
+pub fn plan(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
     let body = parse_body(body)?;
     check_known_fields(&body, &["network", "spec", "array", "algorithms"])?;
     let network = network_field(&body)?;
     let array = array_field(&body)?;
     let algorithms = algorithms_field(&body)?;
     let report = state
-        .engine_at(shard)
+        .engine()
         .plan_network_with(&network, array, &algorithms)
         .map_err(|e| unprocessable(e.to_string()))?;
     state.trim_caches();
@@ -251,7 +257,7 @@ pub fn plan(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue,
 /// `POST /v1/sweep` — body: `{"networks"?: [NAME, ...] | "all",
 /// "specs"?: [{...}, ...], "arrays"?: ["RxC", ...], "algorithms"?}`.
 /// Defaults: the whole zoo × the paper's Fig. 8(b) array sizes.
-pub fn sweep(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
+pub fn sweep(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
     let body = parse_body(body)?;
     check_known_fields(&body, &["networks", "specs", "arrays", "algorithms"])?;
 
@@ -308,18 +314,14 @@ pub fn sweep(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue
         for &array in &arrays {
             reports.push(
                 state
-                    .engine_at(shard)
+                    .engine()
                     .plan_network_with(network, array, &algorithms)
                     .map_err(|e| unprocessable(e.to_string()))?,
             );
         }
     }
     state.trim_caches();
-    Ok(api::sweep_json(
-        &reports,
-        &state.stats(),
-        state.engine_at(shard),
-    ))
+    Ok(api::sweep_json(&reports, &state.stats(), state.engine()))
 }
 
 /// `POST /v1/deploy` — body: `{"network": NAME | "spec": {...},
@@ -331,7 +333,7 @@ pub fn sweep(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue
 /// The response is [`api::deployment_json`] exactly — no appended cache
 /// member — so `vwsdk deploy --format json` and this endpoint answer
 /// identical JSON for the same question.
-pub fn deploy(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
+pub fn deploy(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
     let body = parse_body(body)?;
     check_known_fields(
         &body,
@@ -367,7 +369,7 @@ pub fn deploy(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValu
     let chip =
         ChipConfig::new(n_arrays, array, reprogram).map_err(|e| unprocessable(e.to_string()))?;
     let deployment = state
-        .engine_at(shard)
+        .engine()
         .deploy_network_with(&network, &chip, &algorithms)
         .map_err(|e| unprocessable(e.to_string()))?;
     state.trim_caches();
@@ -383,7 +385,7 @@ pub fn deploy(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValu
 /// Defaults: VW-SDK plans on the paper's 512×512 array, seed 2024,
 /// quantized mode, batch 1.
 ///
-/// Plans every layer through the shared engine cache, programs the
+/// Plans every layer through the shared search memo, programs the
 /// plans once, streams `batch` deterministic seed-derived inputs
 /// through the deployment end to end on the functional simulator, and
 /// answers the per-stage executed-vs-predicted report (counters summed
@@ -394,7 +396,11 @@ pub fn deploy(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValu
 /// The response is [`api::simulation_json`] exactly — no appended cache
 /// member — so `vwsdk simulate --format json` and this endpoint answer
 /// identical JSON for the same question.
-pub fn simulate(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
+pub fn simulate(
+    state: &ServerState,
+    _shard: usize,
+    body: &[u8],
+) -> Result<JsonValue, HandlerError> {
     let body = parse_body(body)?;
     check_known_fields(
         &body,
@@ -469,7 +475,7 @@ pub fn simulate(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonVa
     // Stream workers stay at 1: the connection pool is the server's
     // parallelism budget, one core per in-flight request.
     let report = state
-        .engine_at(shard)
+        .engine()
         .simulate_network_batch_with(&network, array, algorithm, seed, mode, batch as usize, 1)
         .map_err(|e| unprocessable(e.to_string()))?;
     state.trim_caches();
@@ -835,12 +841,14 @@ mod tests {
         // the same JSON view.
         let expected = s
             .engine()
-            .simulate_network_with(
+            .simulate_network_batch_with(
                 &zoo::tiny(),
                 PimArray::new(64, 64).unwrap(),
                 MappingAlgorithm::VwSdk,
                 42,
                 pim_sim::ExecMode::Quantized,
+                1,
+                1,
             )
             .unwrap();
         assert_eq!(response.render(), api::simulation_json(&expected).render());
@@ -988,7 +996,7 @@ mod tests {
         let first = s.engine().stats();
         plan(&s, 0, br#"{"network": "resnet18"}"#).unwrap();
         let second = s.engine().stats();
-        assert_eq!(first.plan_misses, second.plan_misses);
-        assert!(second.plan_hits > first.plan_hits);
+        assert_eq!(first.search_misses, second.search_misses);
+        assert!(second.search_hits > first.search_hits);
     }
 }

@@ -8,9 +8,10 @@
 //! offline dependency policy): an incremental HTTP/1.1 parser
 //! ([`http`]), a sharded non-blocking event loop (`event_loop`, over
 //! [`pim_netpoll`]), a fixed worker pool ([`pool`]), a closed route
-//! table ([`router`]) and pure JSON handlers ([`handlers`]) over
-//! per-shard [`PlanningEngine`](vw_sdk::PlanningEngine)s that share
-//! one single-flight search memo.
+//! table ([`router`]) and pure JSON handlers ([`handlers`]) over one
+//! [`PlanningEngine`](vw_sdk::PlanningEngine), shared by every shard,
+//! whose single-flight search memo is the process's only planning
+//! cache.
 //!
 //! # The API
 //!
@@ -93,9 +94,9 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Handler worker threads (`0` = one per available core).
     pub jobs: usize,
-    /// Event-loop shards, each with its own planning engine over the
-    /// shared search memo (`0` = auto: enough for the machine, capped
-    /// at 4 — shards are I/O threads, not compute).
+    /// Event-loop shards, all planning through the one shared engine
+    /// (`0` = auto: enough for the machine, capped at 4 — shards are
+    /// I/O threads, not compute).
     pub shards: usize,
     /// Idle, per-request read, and response-write deadline. Handler
     /// execution gets a separate generous fixed grace.
@@ -194,7 +195,7 @@ impl PlanServer {
         self.listener.local_addr()
     }
 
-    /// The shared server state (engines, counters).
+    /// The shared server state (engine, counters).
     pub fn state(&self) -> Arc<ServerState> {
         Arc::clone(&self.state)
     }
@@ -357,7 +358,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shared server state (engines, counters).
+    /// The shared server state (engine, counters).
     pub fn state(&self) -> Arc<ServerState> {
         Arc::clone(&self.state)
     }

@@ -151,10 +151,13 @@ fn metrics_counters_advance_across_a_scripted_sequence() {
         sample(&after, plan_lat) - sample(&before, plan_lat),
         PLANS + 2
     );
-    // Plan-cache counters flowed through from the engine (first plan
-    // misses, repeats hit).
-    assert!(sample(&after, "pim_plan_cache_misses_total") >= 1);
-    assert!(sample(&after, "pim_plan_cache_hits_total") >= 1);
+    // Search-memo counters flowed through from the engine (first plan
+    // misses, repeats hit); there is no plan cache left to report.
+    let searches =
+        |text: &str, event: &str| sample(text, &format!("pim_search_cache_{event}_total"));
+    assert!(searches(&after, "misses") - searches(&before, "misses") >= 1);
+    assert!(searches(&after, "hits") - searches(&before, "hits") >= 1);
+    assert!(!after.contains("pim_plan_cache"), "{after}");
     // Warm plans re-used the memoized search: candidate counters are
     // exactly where the cold plan left them.
     assert_eq!(

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             print_row(n_arrays, alg.label(), &report);
         }
         // ...against the engine's mixed-algorithm budget optimizer.
-        let mixed = engine.deploy_network(&network, &chip)?;
+        let mixed = engine.deploy_network_with(&network, &chip, &MappingAlgorithm::paper_trio())?;
         let report = DeploymentReport::with_defaults(network.name(), &mixed);
         print_row(n_arrays, "mixed", &report);
     }

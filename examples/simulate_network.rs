@@ -12,6 +12,7 @@
 use vw_sdk::pim_arch::PimArray;
 use vw_sdk::pim_chip::report::DeploymentReport;
 use vw_sdk::pim_chip::ChipConfig;
+use vw_sdk::pim_mapping::MappingAlgorithm;
 use vw_sdk::pim_nets::zoo;
 use vw_sdk::pim_sim::{simulate_deployment, ExecMode};
 use vw_sdk::PlanningEngine;
@@ -30,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Deploy with the mixed-algorithm optimizer (per-layer im2col/SDK/
     // VW-SDK choice + array split), then execute the deployed plans.
     let engine = PlanningEngine::new().with_jobs(0);
-    let deployment = engine.deploy_network(&network, &chip)?;
+    let deployment =
+        engine.deploy_network_with(&network, &chip, &MappingAlgorithm::paper_trio())?;
     let report = DeploymentReport::with_defaults(network.name(), &deployment);
     let sim = simulate_deployment(&network, &deployment, 2024, ExecMode::Quantized)?;
 

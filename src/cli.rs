@@ -2091,12 +2091,14 @@ mod tests {
         .unwrap();
         let out = run(&cmd).unwrap();
         let expected = vw_sdk::PlanningEngine::new()
-            .simulate_network_with(
+            .simulate_network_batch_with(
                 &zoo::lenet5(),
                 PimArray::new(96, 64).unwrap(),
                 MappingAlgorithm::VwSdk,
                 7,
                 ExecMode::Quantized,
+                1,
+                1,
             )
             .unwrap();
         assert_eq!(out, api::simulation_json(&expected).render());

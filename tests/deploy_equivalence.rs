@@ -114,7 +114,7 @@ fn mixed_optimizer_beats_best_single_algorithm_on_vgg13_and_resnet18() {
         for n_arrays in net.len()..=64 {
             let chip = ChipConfig::new(n_arrays, array, 2_000).expect("valid chip");
             let mixed = engine
-                .deploy_network(&net, &chip)
+                .deploy_network_with(&net, &chip, &MappingAlgorithm::paper_trio())
                 .expect("budget covers every layer");
             let best_single = MappingAlgorithm::paper_trio()
                 .iter()

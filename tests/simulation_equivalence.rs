@@ -102,7 +102,7 @@ fn executable_zoo_networks_simulate_bit_exactly_under_all_algorithms() {
     ] {
         for alg in MappingAlgorithm::paper_trio() {
             let report = engine
-                .simulate_network_with(&network, array, alg, 2024, ExecMode::Quantized)
+                .simulate_network_batch_with(&network, array, alg, 2024, ExecMode::Quantized, 1, 1)
                 .unwrap();
             assert!(
                 report.is_fully_consistent(),
@@ -113,7 +113,15 @@ fn executable_zoo_networks_simulate_bit_exactly_under_all_algorithms() {
         }
         // Exact mode (i128, no inter-stage rescaling) on one algorithm.
         let exact = engine
-            .simulate_network_with(&network, array, MappingAlgorithm::VwSdk, 7, ExecMode::Exact)
+            .simulate_network_batch_with(
+                &network,
+                array,
+                MappingAlgorithm::VwSdk,
+                7,
+                ExecMode::Exact,
+                1,
+                1,
+            )
             .unwrap();
         assert!(
             exact.is_fully_consistent(),
@@ -126,12 +134,14 @@ fn executable_zoo_networks_simulate_bit_exactly_under_all_algorithms() {
 
     // The dilated atrous stack exercises dilation at network scale.
     let dilated = engine
-        .simulate_network_with(
+        .simulate_network_batch_with(
             &zoo::dilated_context(),
             PimArray::new(256, 128).unwrap(),
             MappingAlgorithm::VwSdk,
             5,
             ExecMode::Quantized,
+            1,
+            1,
         )
         .unwrap();
     assert!(dilated.is_fully_consistent(), "{dilated:?}");
